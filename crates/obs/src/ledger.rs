@@ -29,17 +29,18 @@
 //!
 //! # Determinism
 //!
-//! The map is sharded by an FNV-1a hash of the key so concurrent PROFILE
-//! connections do not serialize on one lock, but every rendered view
-//! (exposition text, `/sitez` JSON) walks the union of all shards sorted by
-//! key bytes — the output is byte-identical regardless of which shard or
-//! thread interleaving the updates arrived through.
+//! The sites live in one map behind one lock; in the server every write
+//! comes from the event-loop thread, so the lock is never contended.
+//! Every rendered view (exposition text, `/sitez` JSON) walks the sites
+//! sorted by key bytes, so the output is byte-identical regardless of the
+//! order the updates arrived in.
 //!
 //! # Zero cost when disabled
 //!
 //! A disabled ledger's `record_*` methods are one relaxed atomic load plus
 //! a branch: no hashing, no locking, no allocation (pinned by the
-//! counted-allocator test in `tests/alloc_free.rs`, like tracing).
+//! counted-allocator test in `tests/alloc_free.rs`, like tracing). An
+//! enabled ledger allocates only when it first sees a site.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -49,9 +50,7 @@ use std::sync::Mutex;
 /// Number of confidence buckets in the calibration histogram.
 pub const CALIBRATION_BUCKETS: usize = 10;
 
-const SHARDS: usize = 16;
-
-/// FNV-1a 64-bit hash; also the site's stable display id (16 hex digits).
+/// FNV-1a 64-bit hash: the site's stable display id (16 hex digits).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -168,13 +167,13 @@ pub struct SiteReport {
     pub mispredict_weight: f64,
 }
 
-/// Sharded, deterministic per-site accuracy ledger.
+/// Deterministic per-site accuracy ledger.
 #[derive(Debug)]
 pub struct Ledger {
     enabled: AtomicBool,
     applied: AtomicU64,
     unmatched: AtomicU64,
-    shards: Vec<Mutex<HashMap<Vec<u8>, SiteEntry>>>,
+    sites: Mutex<HashMap<Vec<u8>, SiteEntry>>,
 }
 
 impl Default for Ledger {
@@ -190,7 +189,7 @@ impl Ledger {
             enabled: AtomicBool::new(enabled),
             applied: AtomicU64::new(0),
             unmatched: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            sites: Mutex::new(HashMap::new()),
         }
     }
 
@@ -205,20 +204,19 @@ impl Ledger {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    fn shard(&self, key: &[u8]) -> &Mutex<HashMap<Vec<u8>, SiteEntry>> {
-        &self.shards[(fnv1a(key) % SHARDS as u64) as usize]
-    }
-
     /// Record a served prediction: `prob` is the model's taken-probability
-    /// for the site identified by `key`. No-op (one load + branch) when
-    /// disabled.
+    /// for the site identified by `key`. Copies the key only for a site it
+    /// has not seen. No-op (one load + branch) when disabled.
     #[inline]
     pub fn record_served(&self, key: &[u8], prob: f64) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut map = self.shard(key).lock().expect("ledger shard poisoned");
-        let entry = map.entry(key.to_vec()).or_default();
+        let mut map = self.sites.lock().expect("ledger poisoned");
+        let entry = match map.get_mut(key) {
+            Some(entry) => entry,
+            None => map.entry(key.to_vec()).or_default(),
+        };
         entry.served += 1;
         entry.prob = prob;
     }
@@ -232,7 +230,7 @@ impl Ledger {
         if !self.enabled.load(Ordering::Relaxed) {
             return OutcomeRecord::Disabled;
         }
-        let mut map = self.shard(key).lock().expect("ledger shard poisoned");
+        let mut map = self.sites.lock().expect("ledger poisoned");
         match map.get_mut(key) {
             Some(entry) => {
                 let mispredicted = taken != entry.predicted_taken();
@@ -256,11 +254,13 @@ impl Ledger {
     /// Every entry, sorted by key bytes — the deterministic spine all
     /// rendered views are built on.
     fn sorted_entries(&self) -> Vec<(Vec<u8>, SiteEntry)> {
-        let mut all: Vec<(Vec<u8>, SiteEntry)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().expect("ledger shard poisoned");
-            all.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
+        let mut all: Vec<(Vec<u8>, SiteEntry)> = self
+            .sites
+            .lock()
+            .expect("ledger poisoned")
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
     }
@@ -339,8 +339,7 @@ impl Ledger {
 
     /// Prometheus text exposition of the ledger aggregates, rendered in the
     /// same `# TYPE` grammar as [`crate::MetricsRegistry::render_text`].
-    /// Byte-identical for identical update streams regardless of shard or
-    /// thread interleaving.
+    /// Byte-identical for identical update sets regardless of their order.
     pub fn render_text(&self) -> String {
         let s = self.summary();
         let mut out = String::new();
@@ -517,8 +516,7 @@ mod tests {
 
     #[test]
     fn exposition_is_deterministic_across_interleavings() {
-        // Same updates, opposite orders (and therefore different shard
-        // touch orders) → identical bytes.
+        // Same updates, opposite orders → identical bytes.
         let build = |order: &[usize]| {
             let l = Ledger::new(true);
             let updates: Vec<(Vec<u8>, f64, f64, f64)> = (0..64u32)

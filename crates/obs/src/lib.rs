@@ -24,8 +24,7 @@
 //!   joined with `PROFILE`-fed observed outcomes into live
 //!   miss-rate-vs-observed gauges, a 10-bucket calibration histogram, and
 //!   the `/sitez` hot-site table. Deterministic exposition regardless of
-//!   shard/thread interleaving; same zero-cost-when-disabled contract as
-//!   tracing.
+//!   update order; same zero-cost-when-disabled contract as tracing.
 //! * [`window`] — a [`SlidingWindow`] ring of fixed-width time buckets
 //!   behind a [`Clock`] trait (with a manual [`TestClock`]), so windowed
 //!   rps/p99/mispredict-rate are unit-testable deterministically.

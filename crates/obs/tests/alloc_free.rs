@@ -1,7 +1,9 @@
 //! The zero-cost-when-disabled contract, enforced: with tracing off, a
 //! `span!`/`instant!` in a hot loop emits no events and performs **zero
-//! heap allocations**. A counting `#[global_allocator]` (test-only; the
-//! library itself stays `forbid(unsafe_code)`) measures the loop directly.
+//! heap allocations**; so does a disabled accuracy ledger, and an enabled
+//! one recording a site it has already seen. A counting
+//! `#[global_allocator]` (test-only; the library itself stays
+//! `forbid(unsafe_code)`) measures the loop directly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,4 +108,26 @@ fn disabled_recorder_emits_zero_events_and_zero_allocations() {
     });
     assert_eq!(disabled, 100_000);
     assert_eq!(ledger.summary().sites, 0, "disabled ledger recorded state");
+
+    // An enabled ledger copies a site key only the first time it sees the
+    // site: once warm, serving and profiling the same site allocate
+    // nothing. The key is the size of a real 158-wide encoded row's.
+    let ledger = esp_obs::Ledger::new(true);
+    let key = [7u8; 158 * 9];
+    ledger.record_served(&key, 0.75);
+    let mut applied = 0u64;
+    assert_alloc_free(
+        "enabled ledger record_served/record_outcome on a known site",
+        || {
+            applied = 0;
+            for i in 0..100_000u64 {
+                ledger.record_served(&key, 0.75);
+                if ledger.record_outcome(&key, i % 2 == 0, 1.0).applied() {
+                    applied += 1;
+                }
+            }
+        },
+    );
+    assert_eq!(applied, 100_000);
+    assert_eq!(ledger.summary().sites, 1);
 }

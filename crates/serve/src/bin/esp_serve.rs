@@ -11,12 +11,12 @@
 //! artifact's native precision — an f64 artifact is quantized at load when
 //! `f32` is asked for; asking an f32 artifact for `f64` is an error.
 //! `--addr` defaults to `127.0.0.1:7871`; port `0` picks an ephemeral port
-//! (the bound address is printed either way). `--shards 0` (default) runs
-//! one shard worker per core, each owning its slice of the LRU cache
-//! (`--threads` is accepted as an alias); `--cache` is the total LRU
-//! capacity in entries, split across shards (`0` disables);
-//! `--predict-chunk` is the rows-per-batch chunk a shard computes misses
-//! in (default 32). The process runs until a client sends `SHUTDOWN` (see
+//! (the bound address is printed either way). The event-loop thread
+//! answers cache hits itself and hands misses to `--shards N` compute
+//! workers (`0`, the default, runs one per core; `--threads` is accepted as
+//! an alias); `--cache` is the LRU capacity in entries (`0` disables);
+//! `--predict-chunk` is the most miss rows in one compute job (default
+//! 32). The process runs until a client sends `SHUTDOWN` (see
 //! `esp-client`).
 //!
 //! The registry form serves every listed name at once (clients pick with

@@ -204,24 +204,9 @@ fn healthz_json(shared: &Shared) -> String {
         })
         .collect();
     let shards: Vec<String> = shared
-        .shard_stats
+        .queue_depth
         .iter()
-        .map(|st| {
-            let hits = st.hits.load(Ordering::Relaxed);
-            let misses = st.misses.load(Ordering::Relaxed);
-            let total = hits + misses;
-            let ratio = if total > 0 {
-                hits as f64 / total as f64
-            } else {
-                0.0
-            };
-            format!(
-                "{{\"queue_depth\": {}, \"cache_hit_ratio\": {:.6}, \"cache_entries\": {}}}",
-                st.queue_depth.load(Ordering::Relaxed),
-                ratio,
-                st.entries.load(Ordering::Relaxed),
-            )
-        })
+        .map(|depth| format!("{{\"queue_depth\": {}}}", depth.load(Ordering::Relaxed)))
         .collect();
     format!(
         "{{\n  \"model\": \"{}\",\n  \"dim\": {},\n  \"hidden\": {},\n  \
@@ -229,6 +214,7 @@ fn healthz_json(shared: &Shared) -> String {
          \"precision_bits\": {},\n  \"uptime_s\": {:.3},\n  \
          \"ledger_enabled\": {},\n  \"http_requests\": {},\n  \
          \"shards\": {},\n  \"reloads_total\": {},\n  \
+         \"cache_entries\": {},\n  \"cache_hit_ratio\": {:.6},\n  \
          \"models\": [{}],\n  \"shard_health\": [{}],\n  \
          \"window\": {{\"seconds\": {}, \"rps\": {:.3}, \"p50_us\": {}, \
          \"p99_us\": {}, \"mispredict_rate\": {}}}\n}}\n",
@@ -241,8 +227,10 @@ fn healthz_json(shared: &Shared) -> String {
         now_us as f64 / 1e6,
         shared.ledger.enabled(),
         shared.http_requests.load(Ordering::Relaxed),
-        shared.shard_stats.len(),
+        shared.queue_depth.len(),
         shared.metrics.reloads.get(),
+        shared.metrics.cache_entries(),
+        shared.metrics.hit_ratio(),
         models.join(", "),
         shards.join(", "),
         req.window_s,

@@ -11,18 +11,19 @@
 //!   their typed responses; since v4 PREDICT and INFO carry a model
 //!   selector for multi-model routing.
 //! - [`server`] — the nonblocking reactor (resumable per-connection
-//!   read→decode→dispatch→write state machines), graceful drain on
+//!   read→decode→dispatch→write state machines) that owns the one
+//!   prediction cache and answers hits inline, graceful drain on
 //!   shutdown, and the hot-reload watcher.
-//! - `shard` (internal) — N shard workers owning per-shard LRU caches;
-//!   rows route by a stable FNV-1a hash of their cache-key bytes, so a
-//!   feature vector always lands on the shard that may hold it.
+//! - `shard` (internal) — N shard workers, a plain compute pool: the
+//!   reactor hands them each batch's cache misses in runs of at most
+//!   `predict_chunk` rows.
 //! - `models` (internal) — the name/version routing table behind the v4
 //!   model selector; hot reload atomically swaps entries here.
 //! - [`cache`] — an O(1) exact-match LRU keyed on the raw feature bits, so
 //!   repeated branch shapes skip the network forward pass.
 //! - [`metrics`] — an [`esp_obs::MetricsRegistry`]-backed set of counters,
-//!   latency/batch-size histograms, cache-hit-ratio and per-shard health
-//!   gauges behind the `STATS` opcode, which also serves the full
+//!   latency/batch-size histograms, cache hit-ratio/entries and per-worker
+//!   queue-depth gauges behind the `STATS` opcode, which also serves the full
 //!   Prometheus-style text exposition.
 //! - [`client`] — the blocking client library used by the `esp-client`
 //!   binary and the integration tests.

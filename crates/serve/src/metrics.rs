@@ -12,24 +12,14 @@
 //!   client sees it: frame decode, cache lookups, compute, response encode
 //!   and write, for every opcode. This is what the snapshot's p50/p99/max
 //!   report.
-//! * `esp_serve_predict_compute_us` — the old, narrower series: just the
-//!   predict handler (cache passes + network forward), kept for comparing
-//!   compute cost against the full service time.
+//! * `esp_serve_predict_compute_us` — one compute job on a shard worker:
+//!   the batched network forward over a run of cache misses.
 
 use std::sync::Arc;
 
 use esp_obs::{Counter, Gauge, Log2Histogram, MetricsRegistry};
 
 use crate::protocol::StatsSnapshot;
-
-/// Per-shard gauge handles (the registry has no label support, so each
-/// shard gets its own `esp_serve_shard_{i}_*` families).
-#[derive(Debug)]
-struct ShardGauges {
-    queue_depth: Arc<Gauge>,
-    cache_hit_ratio: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
-}
 
 /// Shared server metrics; recording goes through lock-free atomic handles.
 #[derive(Debug)]
@@ -53,9 +43,12 @@ pub struct Metrics {
     predict_compute_us: Arc<Log2Histogram>,
     batch_size: Arc<Log2Histogram>,
     cache_hit_ratio: Arc<Gauge>,
+    cache_entries: Arc<Gauge>,
     predict_precision: Arc<Gauge>,
     model_version: Arc<Gauge>,
-    shard_gauges: Vec<ShardGauges>,
+    /// One `esp_serve_shard_{i}_queue_depth` gauge per worker (the
+    /// registry has no label support).
+    queue_depth: Vec<Arc<Gauge>>,
 }
 
 impl Default for Metrics {
@@ -71,8 +64,8 @@ impl Metrics {
     }
 
     /// Fresh metrics for a server of `nshards` shard workers: the
-    /// `esp_serve_shards` gauge is set and one `esp_serve_shard_{i}_*`
-    /// gauge family is registered per shard.
+    /// `esp_serve_shards` gauge is set and one
+    /// `esp_serve_shard_{i}_queue_depth` gauge is registered per worker.
     pub fn with_shards(nshards: usize) -> Self {
         let registry = MetricsRegistry::new();
         let connections = registry.counter("esp_serve_connections_total");
@@ -86,15 +79,12 @@ impl Metrics {
         let predict_compute_us = registry.histogram("esp_serve_predict_compute_us");
         let batch_size = registry.histogram("esp_serve_batch_size");
         let cache_hit_ratio = registry.gauge("esp_serve_cache_hit_ratio");
+        let cache_entries = registry.gauge("esp_serve_cache_entries");
         let predict_precision = registry.gauge("esp_serve_predict_precision");
         registry.gauge("esp_serve_shards").set(nshards as f64);
         let model_version = registry.gauge("esp_serve_model_version");
-        let shard_gauges = (0..nshards)
-            .map(|i| ShardGauges {
-                queue_depth: registry.gauge(&format!("esp_serve_shard_{i}_queue_depth")),
-                cache_hit_ratio: registry.gauge(&format!("esp_serve_shard_{i}_cache_hit_ratio")),
-                cache_entries: registry.gauge(&format!("esp_serve_shard_{i}_cache_entries")),
-            })
+        let queue_depth = (0..nshards)
+            .map(|i| registry.gauge(&format!("esp_serve_shard_{i}_queue_depth")))
             .collect();
         Metrics {
             registry,
@@ -109,9 +99,10 @@ impl Metrics {
             predict_compute_us,
             batch_size,
             cache_hit_ratio,
+            cache_entries,
             predict_precision,
             model_version,
-            shard_gauges,
+            queue_depth,
         }
     }
 
@@ -121,8 +112,7 @@ impl Metrics {
         self.request_us.record(us);
     }
 
-    /// Record the predict handler's compute-scoped latency in microseconds
-    /// (the series previously reported as the only latency).
+    /// Record one compute job's batched-kernel time in microseconds.
     pub fn record_predict_compute_us(&self, us: u64) {
         self.predict_compute_us.record(us);
     }
@@ -144,30 +134,32 @@ impl Metrics {
         self.model_version.set(version as f64);
     }
 
-    /// Number of shard workers this registry was built for.
-    pub fn shard_count(&self) -> usize {
-        self.shard_gauges.len()
-    }
-
-    /// Refresh one shard's health gauges from its worker counters.
-    pub fn set_shard(&self, shard: usize, queue_depth: u64, hits: u64, misses: u64, entries: u64) {
-        let Some(g) = self.shard_gauges.get(shard) else {
-            return;
-        };
-        g.queue_depth.set(queue_depth as f64);
-        let total = hits + misses;
-        if total > 0 {
-            g.cache_hit_ratio.set(hits as f64 / total as f64);
+    /// Refresh one worker's queue-depth gauge.
+    pub(crate) fn set_queue_depth(&self, shard: usize, jobs: u64) {
+        if let Some(g) = self.queue_depth.get(shard) {
+            g.set(jobs as f64);
         }
-        g.cache_entries.set(entries as f64);
     }
 
-    /// Refresh the cache-hit-ratio gauge from the hit/miss counters.
-    pub fn update_cache_hit_ratio(&self) {
+    /// Record the number of entries in the prediction cache on the
+    /// `esp_serve_cache_entries` gauge.
+    pub(crate) fn set_cache_entries(&self, entries: usize) {
+        self.cache_entries.set(entries as f64);
+    }
+
+    /// Entries in the prediction cache, as last recorded.
+    pub(crate) fn cache_entries(&self) -> u64 {
+        self.cache_entries.get() as u64
+    }
+
+    /// Share of predicted rows answered from the cache (0 before any).
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let hits = self.cache_hits.get();
         let total = hits + self.cache_misses.get();
         if total > 0 {
-            self.cache_hit_ratio.set(hits as f64 / total as f64);
+            hits as f64 / total as f64
+        } else {
+            0.0
         }
     }
 
@@ -175,7 +167,7 @@ impl Metrics {
     /// cache-hit-ratio gauge is refreshed first, so every exposition path
     /// (`STATS`, HTTP `/metrics`, `--metrics-out`) renders current values.
     pub fn render_text(&self) -> String {
-        self.update_cache_hit_ratio();
+        self.cache_hit_ratio.set(self.hit_ratio());
         self.registry.render_text()
     }
 

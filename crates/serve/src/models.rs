@@ -3,13 +3,13 @@
 //!
 //! Every loaded model lives in a [`ModelEntry`] behind an `Arc`; the
 //! reactor resolves a selector to an entry exactly once per request, and
-//! every shard job of that request carries the same `Arc`. Hot reload is
+//! every compute job of that request carries the same `Arc`. Hot reload is
 //! therefore a single atomic pointer swap in the table: requests already
 //! dispatched finish on the entry they resolved, new requests resolve the
 //! fresh one, and nothing is ever torn mid-flight.
 //!
-//! Each entry also carries a table-unique `id`, which the shard caches
-//! prefix onto every cache key. A reloaded version gets a fresh id, so a
+//! Each entry also carries a table-unique `id`, which the reactor's cache
+//! appends to every cache key. A reloaded version gets a fresh id, so a
 //! stale probability can never be served across a swap — old entries
 //! simply age out of the LRU.
 
@@ -25,7 +25,7 @@ use crate::server::Precision;
 
 /// One loaded model: the inference network plus its routing identity.
 pub(crate) struct ModelEntry {
-    /// Table-unique load id; prefixes shard cache keys so entries from
+    /// Table-unique load id; ends every cache key so entries from
     /// different loads (including reloads of the same name) never alias.
     pub id: u64,
     /// The inference model, at its serving precision.

@@ -2,19 +2,22 @@
 //!
 //! One reactor thread drives a nonblocking listener plus every connection
 //! as a resumable state machine (read → decode → dispatch → write, built
-//! on the same resumable `FrameReader` the threaded server used), and N
-//! shard workers own per-shard LRU caches and do the model compute. All of
-//! it stays on the `esp-runtime` discipline: deterministic results (the
-//! model is immutable; the caches only memoise bit-identical values),
+//! on the resumable `FrameReader`). The reactor also owns the one
+//! prediction cache: it builds each row's key once, answers hits inline,
+//! and hands only the misses to the shard workers, a plain compute pool.
+//! All of it stays on the `esp-runtime` discipline: deterministic results
+//! (the model is immutable; the cache only memoises bit-identical values),
 //! parallelism only affects wall-clock.
 //!
 //! Per connection, responses are queued in request order: immediate
 //! opcodes (STATS, INFO, PROFILE, SHUTDOWN, errors) enter the queue as
-//! encoded bytes, while a PREDICT enters as a pending join that the shard
-//! workers fill; the reactor completes the head of the queue as soon as
-//! its join resolves, so pipelined clients always read replies in the
-//! order they asked. Partial writes park in a per-connection buffer and
-//! resume when the socket drains.
+//! encoded bytes, while a PREDICT enters as a pending join that the
+//! workers fill for its cache misses (empty, so complete at once, when
+//! every row hit); the reactor completes the head of the queue as soon as
+//! its join resolves — inserting the computed rows into the cache and the
+//! ledger in miss order — so pipelined clients always read replies in the
+//! order they asked. Partial writes park in a
+//! per-connection buffer and resume when the socket drains.
 //!
 //! Multiple models are served behind one port (see the `models` module):
 //! the v4 PREDICT/INFO selector picks one, and a watcher thread can hot
@@ -32,16 +35,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esp_artifact::{AnyArtifact, ModelArtifact, Registry, FORMAT_VERSION};
+use esp_artifact::{AnyArtifact, ModelArtifact, Registry};
 use esp_obs::window::{Clock, SlidingWindow, SystemClock};
 use esp_obs::{Ledger, OutcomeRecord};
 
+use crate::cache::{cache_key_into, LruCache};
 use crate::metrics::Metrics;
-use crate::models::{entry_from_any, model_at_precision, ModelEntry, ModelTable};
+use crate::models::{entry_from_any, ModelEntry, ModelTable};
 use crate::protocol::{
-    FrameReader, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError, ServerInfo,
+    FrameReader, PredictRow, Prediction, ProfileAck, ProfileRecord, Request, Response, ServeError,
+    ServerInfo,
 };
-use crate::shard::{PredictJoin, ShardPool, ShardStats};
+use crate::shard::{PredictJoin, ShardPool};
 
 /// Numeric precision the server predicts at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,15 +71,15 @@ impl std::str::FromStr for Precision {
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Shard workers, each owning its slice of the LRU cache; `0` = one
-    /// per available core.
+    /// Compute workers the reactor hands cache misses to; `0` = one per
+    /// available core.
     pub shards: usize,
-    /// Aggregate LRU cache capacity in entries, split evenly across the
-    /// shards; `0` disables caching.
+    /// Capacity in entries of the reactor's LRU prediction cache; `0`
+    /// disables caching.
     pub cache_capacity: usize,
-    /// Rows per batched-kernel call inside a shard (`--predict-chunk`);
-    /// clamped to at least 1. A memory knob: results are bitwise identical
-    /// at any chunk size.
+    /// Most cache-miss rows in one compute job, i.e. one batched-kernel
+    /// call on a worker (`--predict-chunk`); clamped to at least 1. Results
+    /// are bitwise identical at any chunk size.
     pub predict_chunk: usize,
     /// Serving precision; `None` = the artifact's native precision. An f64
     /// artifact can be quantized down to f32 at load; an f32 artifact
@@ -122,7 +127,7 @@ const WEIGHT_SCALE: f64 = 1e6;
 const OUT_HIGH_WATER: usize = 4 << 20;
 
 /// Empty reactor sweeps before easing off the CPU: first yield the core
-/// (lets shard workers and local clients run immediately — the common case
+/// (lets compute workers and local clients run immediately — the common case
 /// under load), then sleep in 1 ms naps once genuinely idle.
 const IDLE_SPINS: u32 = 128;
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
@@ -131,7 +136,7 @@ pub(crate) struct Shared {
     /// Selector → model routing table (hot reload swaps entries here).
     pub(crate) models: ModelTable,
     pub(crate) metrics: Metrics,
-    /// Rows per batched-kernel call inside a shard.
+    /// Most cache-miss rows in one compute job.
     pub(crate) predict_chunk: usize,
     pub(crate) stop: AtomicBool,
     /// Per-site accuracy ledger (PROFILE outcomes joined to served
@@ -149,9 +154,9 @@ pub(crate) struct Shared {
     /// scraping does not perturb the byte-identity of `/metrics` vs STATS
     /// on a quiesced server).
     pub(crate) http_requests: AtomicU64,
-    /// Per-shard health counters, written by the workers, read by
-    /// `/healthz` and the exposition.
-    pub(crate) shard_stats: Vec<Arc<ShardStats>>,
+    /// Compute jobs queued on each shard worker and not yet finished;
+    /// one entry per worker.
+    pub(crate) queue_depth: Vec<AtomicU64>,
 }
 
 impl Shared {
@@ -164,21 +169,16 @@ impl Shared {
         self.models.default_entry().model.precision_bits()
     }
 
-    /// The unified exposition: per-shard gauges refreshed from the worker
-    /// counters, then the metrics registry followed by the accuracy-ledger
-    /// families. The STATS opcode, the in-process
+    /// The unified exposition: per-worker queue-depth gauges refreshed,
+    /// then the metrics registry followed by the accuracy-ledger families.
+    /// The STATS opcode, the in-process
     /// [`ServerHandle::metrics_text`], and the HTTP `/metrics` endpoint all
     /// render through here, so the three views are byte-identical on a
     /// quiesced server.
     pub(crate) fn exposition(&self) -> String {
-        for (i, st) in self.shard_stats.iter().enumerate() {
-            self.metrics.set_shard(
-                i,
-                st.queue_depth.load(Ordering::Relaxed),
-                st.hits.load(Ordering::Relaxed),
-                st.misses.load(Ordering::Relaxed),
-                st.entries.load(Ordering::Relaxed),
-            );
+        for (i, depth) in self.queue_depth.iter().enumerate() {
+            self.metrics
+                .set_queue_depth(i, depth.load(Ordering::Relaxed));
         }
         let mut text = self.metrics.render_text();
         text.push_str(&self.ledger.render_text());
@@ -209,22 +209,7 @@ pub fn serve(
     addr: &str,
     cfg: &ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    let model = match cfg.precision {
-        Some(Precision::F32) => artifact.quantize().to_model(),
-        _ => artifact.to_model(),
-    };
-    let info = ServerInfo {
-        dim: artifact.dim() as u32,
-        hidden: artifact.mlp.num_hidden() as u32,
-        format_version: FORMAT_VERSION,
-        corpus_id: artifact.meta.corpus_id.clone(),
-        model_name: String::new(),
-        model_version: 0,
-    };
-    let table = ModelTable::new("");
-    let id = table.next_id();
-    table.install("", Arc::new(ModelEntry { id, model, info }));
-    serve_table(table, addr, cfg, None)
+    serve_any(&AnyArtifact::F64(artifact.clone()), addr, cfg)
 }
 
 /// [`serve`] for either artifact kind. The precision matrix: an f64
@@ -236,18 +221,9 @@ pub fn serve_any(
     addr: &str,
     cfg: &ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    let model = model_at_precision(artifact, cfg.precision)?;
-    let info = ServerInfo {
-        dim: artifact.dim() as u32,
-        hidden: artifact.hidden() as u32,
-        format_version: FORMAT_VERSION,
-        corpus_id: artifact.meta().corpus_id.clone(),
-        model_name: String::new(),
-        model_version: 0,
-    };
     let table = ModelTable::new("");
-    let id = table.next_id();
-    table.install("", Arc::new(ModelEntry { id, model, info }));
+    let entry = entry_from_any(&table, artifact, "", 0, cfg.precision)?;
+    table.install("", Arc::new(entry));
     serve_table(table, addr, cfg, None)
 }
 
@@ -317,7 +293,6 @@ fn serve_table(
         metrics.set_precision(default.model.precision_bits());
         metrics.set_model_version(default.info.model_version);
     }
-    let shard_stats = (0..shards).map(|_| Arc::new(ShardStats::default())).collect();
     let shared = Arc::new(Shared {
         models: table,
         metrics,
@@ -329,7 +304,7 @@ fn serve_table(
         observed_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         mispredict_window: SlidingWindow::new(WINDOW_SLOTS, WINDOW_BUCKET_US),
         http_requests: AtomicU64::new(0),
-        shard_stats,
+        queue_depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
     });
 
     // The HTTP telemetry sidecar binds before the reactor spawns so a
@@ -343,13 +318,18 @@ fn serve_table(
         None => (None, None),
     };
 
-    // The reactor owns the shard pool: it is the only dispatcher, and it
-    // stops and joins the workers after draining at shutdown.
-    let pool = ShardPool::spawn(&shared, shards, cfg.cache_capacity);
+    // The reactor owns the cache and the shard pool: it is the only
+    // dispatcher, and it stops and joins the workers after draining at
+    // shutdown.
+    let predictor = Predictor {
+        cache: LruCache::new(cfg.cache_capacity),
+        key: Vec::new(),
+        pool: ShardPool::spawn(&shared),
+    };
     let reactor_shared = Arc::clone(&shared);
     let reactor = std::thread::Builder::new()
         .name("esp-serve-reactor".to_string())
-        .spawn(move || reactor_loop(reactor_shared, listener, pool))?;
+        .spawn(move || reactor_loop(reactor_shared, listener, predictor))?;
 
     let watcher = watch.map(|w| {
         let watch_shared = Arc::clone(&shared);
@@ -442,12 +422,116 @@ impl Drop for ServerHandle {
 enum Slot {
     /// Encoded response payload, ready to frame and write.
     Ready(Vec<u8>),
-    /// A predict batch in flight on the shard workers.
-    Pending {
+    /// A predict batch waiting on its cache misses.
+    Pending(PendingPredict),
+}
+
+/// A predict batch whose cache misses are in flight on the compute pool
+/// (an all-hit batch carries an empty, already complete join).
+struct PendingPredict {
+    req_id: u64,
+    svc_start: Instant,
+    /// One probability per request row; the hits are filled in already.
+    probs: Vec<f64>,
+    /// `(row index, cache key)` of each miss, in miss order.
+    missed: Vec<(usize, Vec<u8>)>,
+    join: Arc<PredictJoin>,
+}
+
+/// Bytes of model load id at the end of every cache key.
+const LOAD_ID_BYTES: usize = 8;
+
+/// The ledger site key inside a cache key: everything before the load id.
+fn site_of(key: &[u8]) -> &[u8] {
+    &key[..key.len() - LOAD_ID_BYTES]
+}
+
+/// What only the reactor thread touches on the predict path: the one LRU
+/// prediction cache, its key scratch buffer, and the compute pool the
+/// misses go to.
+///
+/// A cache key is the row's site key (`cache_key_into`, the bytes PROFILE
+/// joins on) followed by the serving entry's table-unique load id, so a hot
+/// reload can never serve a stale probability: the new entry's keys never
+/// collide with the old one's, which simply age out of the LRU.
+struct Predictor {
+    cache: LruCache,
+    key: Vec<u8>,
+    pool: ShardPool,
+}
+
+impl Predictor {
+    /// Answer a validated batch's hits from the cache, recording each in
+    /// the ledger, and queue its misses on the compute pool.
+    fn start(
+        &mut self,
+        shared: &Shared,
+        entry: &Arc<ModelEntry>,
+        rows: Vec<PredictRow>,
         req_id: u64,
-        join: Arc<PredictJoin>,
         svc_start: Instant,
-    },
+    ) -> PendingPredict {
+        let ledger_on = shared.ledger.enabled();
+        let mut probs = vec![0.0; rows.len()];
+        let mut missed = Vec::new();
+        let mut miss_rows = Vec::new();
+        for (i, r) in rows.into_iter().enumerate() {
+            cache_key_into(&mut self.key, &r.row, &r.mask);
+            self.key.extend_from_slice(&entry.id.to_le_bytes());
+            match self.cache.get(&self.key) {
+                Some(p) => {
+                    probs[i] = p;
+                    if ledger_on {
+                        shared.ledger.record_served(site_of(&self.key), p);
+                    }
+                }
+                None => {
+                    missed.push((i, self.key.clone()));
+                    miss_rows.push(r);
+                }
+            }
+        }
+        let m = &shared.metrics;
+        m.cache_hits.add((probs.len() - missed.len()) as u64);
+        m.cache_misses.add(missed.len() as u64);
+        PendingPredict {
+            req_id,
+            svc_start,
+            probs,
+            missed,
+            join: self.pool.dispatch(shared, entry, miss_rows),
+        }
+    }
+
+    /// Complete a resolved batch: fill in the computed rows, inserting
+    /// them into the cache and the ledger in miss order, and encode the
+    /// reply.
+    fn finish(&mut self, shared: &Shared, pending: PendingPredict) -> Vec<u8> {
+        let PendingPredict {
+            req_id,
+            mut probs,
+            missed,
+            join,
+            ..
+        } = pending;
+        let ledger_on = shared.ledger.enabled();
+        for ((i, key), p) in missed.iter().zip(join.probs()) {
+            probs[*i] = p;
+            self.cache.insert(key, p);
+            if ledger_on {
+                shared.ledger.record_served(site_of(key), p);
+            }
+        }
+        shared.metrics.set_cache_entries(self.cache.len());
+        let predictions = probs
+            .into_iter()
+            .map(|prob| Prediction {
+                prob,
+                taken: prob > 0.5,
+            })
+            .collect();
+        Response::Predictions(predictions).encode_with_id(req_id)
+    }
 }
 
 /// Per-connection state machine: resumable frame reads, the in-order
@@ -494,7 +578,7 @@ impl Conn {
     }
 }
 
-fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
+fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, mut predictor: Predictor) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle: u32 = 0;
     loop {
@@ -520,7 +604,7 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
         }
 
         for conn in conns.iter_mut() {
-            progress |= pump(&shared, &pool, conn, stopping);
+            progress |= pump(&shared, &mut predictor, conn, stopping);
         }
         conns.retain(|c| !c.finished());
 
@@ -534,7 +618,7 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
             idle = idle.saturating_add(1);
             if idle < IDLE_SPINS {
                 // Yield first: on a busy box this hands the core straight
-                // to a shard worker or a local client, costing microseconds
+                // to a compute worker or a local client, costing microseconds
                 // instead of a sleep quantum.
                 std::thread::yield_now();
             } else {
@@ -542,14 +626,14 @@ fn reactor_loop(shared: Arc<Shared>, listener: TcpListener, pool: ShardPool) {
             }
         }
     }
-    // Workers drain their queues (Stop sits behind any remaining jobs),
-    // then exit; nothing in flight is abandoned.
-    pool.stop();
+    // Workers drain their queues, then exit; nothing in flight is
+    // abandoned.
+    predictor.pool.stop();
 }
 
 /// Drive one connection as far as it will go without blocking. Returns
 /// true when any byte or state moved.
-fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> bool {
+fn pump(shared: &Shared, predictor: &mut Predictor, conn: &mut Conn, stopping: bool) -> bool {
     let mut progress = false;
 
     // 1. Read complete frames and dispatch them. Skipped while stopping
@@ -565,7 +649,7 @@ fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> b
             match read {
                 Ok(Some(payload)) => {
                     progress = true;
-                    handle_frame(shared, pool, &mut conn.queue, &payload);
+                    handle_frame(shared, predictor, &mut conn.queue, &payload);
                 }
                 Ok(None) => {
                     conn.read_closed = true;
@@ -585,12 +669,12 @@ fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> b
     }
 
     // 2. Complete the head of the response queue into the write buffer —
-    //    ready slots immediately, pending slots once their shard join
-    //    resolves. Head-only, so replies keep request order.
+    //    ready slots immediately, pending slots once their join resolves.
+    //    Head-only, so replies keep request order.
     loop {
         let head_done = match conn.queue.front() {
             Some(Slot::Ready(_)) => true,
-            Some(Slot::Pending { join, .. }) => join.complete(),
+            Some(Slot::Pending(p)) => p.join.complete(),
             None => false,
         };
         if !head_done {
@@ -598,22 +682,10 @@ fn pump(shared: &Shared, pool: &ShardPool, conn: &mut Conn, stopping: bool) -> b
         }
         match conn.queue.pop_front() {
             Some(Slot::Ready(payload)) => push_frame(&mut conn.out, &payload),
-            Some(Slot::Pending {
-                req_id,
-                join,
-                svc_start,
-            }) => {
-                let probs = std::mem::take(&mut *join.probs.lock().expect("join lock"));
-                let predictions: Vec<Prediction> = probs
-                    .into_iter()
-                    .map(|prob| Prediction {
-                        prob,
-                        taken: prob > 0.5,
-                    })
-                    .collect();
-                let payload = Response::Predictions(predictions).encode_with_id(req_id);
+            Some(Slot::Pending(pending)) => {
+                let svc_start = pending.svc_start;
+                let payload = predictor.finish(shared, pending);
                 push_frame(&mut conn.out, &payload);
-                shared.metrics.update_cache_hit_ratio();
                 record_request(shared, svc_start);
             }
             None => unreachable!("head_done implies a head"),
@@ -658,11 +730,16 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Decode one frame and enqueue its response slot. Immediate opcodes are
-/// answered (and measured) inline; PREDICT validates, routes to the shard
-/// workers, and parks a pending slot.
-fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, payload: &[u8]) {
-    // End-to-end service clock: covers decode, handling (cache-hit fast
-    // path included) and response encode; the write happens on the shared
+/// answered (and measured) inline; PREDICT validates, answers its cache
+/// hits, and parks a pending slot for the misses.
+fn handle_frame(
+    shared: &Shared,
+    predictor: &mut Predictor,
+    queue: &mut VecDeque<Slot>,
+    payload: &[u8],
+) {
+    // End-to-end service clock: covers decode, handling (cache lookups
+    // included) and response encode; the write happens on the shared
     // reactor and is not attributed to individual requests.
     let svc_start = Instant::now();
     shared.metrics.requests.inc();
@@ -727,12 +804,8 @@ fn handle_frame(shared: &Shared, pool: &ShardPool, queue: &mut VecDeque<Slot>, p
             m.predict_requests.inc();
             m.predictions.add(rows.len() as u64);
             m.record_batch_size(rows.len() as u64);
-            let join = pool.dispatch(shared, &entry, rows);
-            queue.push_back(Slot::Pending {
-                req_id: id,
-                join,
-                svc_start,
-            });
+            let pending = predictor.start(shared, &entry, rows, id, svc_start);
+            queue.push_back(Slot::Pending(pending));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Pins the serve cache's zero-allocation contract with a counting global
 //! allocator (same pattern as `crates/nnet/tests/alloc_free.rs`): with a
-//! caller-owned key buffer and a warmed cache, the shard hot path —
+//! caller-owned key buffer and a warmed cache, the reactor's hit path —
 //! `cache_key_into` to build the key, `get` on a hit, and `insert` that
 //! refreshes an existing entry — performs **zero** heap allocations per
 //! lookup.
@@ -73,8 +73,8 @@ fn warmed_cache_hits_do_not_allocate() {
         let before = allocations();
         for _ in 0..10 {
             for (i, (row, mask)) in rows.iter().enumerate() {
-                // The shard worker's exact sequence: build the key into the
-                // reusable buffer, probe, and refresh-insert on occasion.
+                // The reactor's sequence: build the key into the reusable
+                // buffer, probe, and refresh-insert on occasion.
                 cache_key_into(&mut key_buf, row, mask);
                 sink += cache.get(&key_buf).expect("warmed key must hit");
                 if i % 7 == 0 {

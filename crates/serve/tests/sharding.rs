@@ -1,11 +1,14 @@
-//! The shard-routing invariant, end to end: probabilities served across
-//! any shard count are bitwise identical to a single shard and to
-//! in-process inference — from one connection or many concurrent ones —
-//! and the per-shard health counters account for every row.
+//! The shard-count invariants, end to end: probabilities served by any
+//! number of compute workers are bitwise identical to in-process
+//! inference — from one connection or many concurrent ones — and the
+//! cache's hit/miss accounting is that of one LRU whatever the worker
+//! count.
 
 use std::sync::Arc;
 
 use esp_artifact::ModelArtifact;
+use esp_runtime::Pcg32;
+use esp_serve::cache::{cache_key, LruCache};
 use esp_serve::loadgen::gauge_value;
 use esp_serve::{serve, Client, PredictRow, ServeConfig};
 
@@ -36,8 +39,8 @@ fn any_shard_count_serves_identical_bits() {
         let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
         let mut client = Client::connect(handle.addr().to_string()).expect("connect");
 
-        // Twice: the second pass answers from the per-shard caches, which
-        // must not change a single bit either.
+        // Twice: the second pass answers from the cache, which must not
+        // change a single bit either.
         for pass in ["compute", "cached"] {
             let preds = client.predict(batch.clone()).expect("predict");
             for (i, (p, e)) in preds.iter().zip(&expected).enumerate() {
@@ -50,8 +53,8 @@ fn any_shard_count_serves_identical_bits() {
             }
         }
 
-        // Shard health: the gauge count matches the config, and the
-        // per-shard hit/miss tallies sum to exactly the rows served.
+        // The gauge count matches the config, every worker reports its
+        // queue depth, and the cache accounts for every row.
         let exposition = handle.metrics_text();
         assert_eq!(
             gauge_value(&exposition, "esp_serve_shards"),
@@ -61,24 +64,16 @@ fn any_shard_count_serves_identical_bits() {
         let stats = client.stats().expect("stats");
         assert_eq!(stats.cache_hits + stats.cache_misses, 2 * batch.len() as u64);
         assert_eq!(stats.cache_hits, batch.len() as u64, "second pass all hits");
-        let mut entries_sum = 0.0;
         for i in 0..shards {
-            entries_sum += gauge_value(&exposition, &format!("esp_serve_shard_{i}_cache_entries"))
-                .unwrap_or_else(|| panic!("missing shard {i} entries gauge"));
             assert!(
                 gauge_value(&exposition, &format!("esp_serve_shard_{i}_queue_depth")).is_some(),
                 "missing shard {i} queue gauge"
             );
-            assert!(
-                gauge_value(&exposition, &format!("esp_serve_shard_{i}_cache_hit_ratio"))
-                    .is_some(),
-                "missing shard {i} hit-ratio gauge"
-            );
         }
         assert_eq!(
-            entries_sum as u64,
-            batch.len() as u64,
-            "every distinct key cached exactly once across shards"
+            gauge_value(&exposition, "esp_serve_cache_entries"),
+            Some(batch.len() as f64),
+            "every distinct key cached exactly once"
         );
         handle.shutdown();
     }
@@ -136,4 +131,73 @@ fn concurrent_connections_interleave_without_corruption() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.predictions, 6 * 20 * 32);
     handle.shutdown();
+}
+
+#[test]
+fn shard_count_cannot_change_cache_accounting() {
+    const CAPACITY: usize = 8;
+    let artifact = ModelArtifact::synthetic(6, 3, 29);
+    let model = artifact.to_model();
+    // A seeded stream of small batches over 20 distinct rows: repeats hit,
+    // and 20 keys overflow an 8-entry cache, so eviction order matters.
+    let distinct = rows(6, 20);
+    let mut rng = Pcg32::seed_from_u64(7);
+    let batches: Vec<Vec<PredictRow>> = (0..60)
+        .map(|_| {
+            let n = rng.gen_range(1..7usize);
+            (0..n)
+                .map(|_| distinct[rng.gen_range(0..distinct.len())].clone())
+                .collect()
+        })
+        .collect();
+
+    // One LRU replayed the way the server handles a batch: every lookup
+    // first, then the misses inserted in miss order.
+    let mut replay = LruCache::new(CAPACITY);
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for batch in &batches {
+        let keys: Vec<Vec<u8>> = batch.iter().map(|r| cache_key(&r.row, &r.mask)).collect();
+        let missed: Vec<&Vec<u8>> = keys.iter().filter(|k| replay.get(k).is_none()).collect();
+        hits += (keys.len() - missed.len()) as u64;
+        misses += missed.len() as u64;
+        for key in missed {
+            replay.insert(key, 0.0);
+        }
+    }
+    assert!(
+        hits > 0 && misses > distinct.len() as u64,
+        "stream must hit and evict"
+    );
+
+    for shards in [1usize, 2, 4, 7] {
+        let cfg = ServeConfig {
+            shards,
+            cache_capacity: CAPACITY,
+            ..ServeConfig::default()
+        };
+        let handle = serve(&artifact, "127.0.0.1:0", &cfg).expect("bind");
+        let mut client = Client::connect(handle.addr().to_string()).expect("connect");
+        for batch in &batches {
+            let preds = client.predict(batch.clone()).expect("predict");
+            for (p, r) in preds.iter().zip(batch) {
+                assert_eq!(
+                    p.prob.to_bits(),
+                    model.predict_prob_encoded(&r.row, &r.mask).to_bits(),
+                    "{shards} shards: served bits differ from in-process"
+                );
+            }
+        }
+        let stats = client.stats().expect("stats");
+        assert_eq!(
+            (stats.cache_hits, stats.cache_misses),
+            (hits, misses),
+            "{shards} shards: hit/miss counts differ from one {CAPACITY}-entry LRU"
+        );
+        assert_eq!(
+            gauge_value(&stats.exposition, "esp_serve_cache_entries"),
+            Some(replay.len() as f64),
+            "{shards} shards: cache entries"
+        );
+        handle.shutdown();
+    }
 }

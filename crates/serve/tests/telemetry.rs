@@ -157,6 +157,9 @@ fn profile_loop_reproduces_in_process_miss_rate() {
     assert!(health.contains("\"shards\":"));
     assert!(health.contains("\"reloads_total\": 0"));
     assert!(health.contains("\"shard_health\": ["));
+    // One cache, reported once; the workers report only their queues.
+    assert_eq!(health.matches("\"cache_entries\": ").count(), 1, "{health}");
+    assert_eq!(health.matches("\"cache_hit_ratio\": ").count(), 1, "{health}");
     assert!(health.contains("\"ledger_enabled\": true"));
     assert!(health.contains("\"window\""));
 

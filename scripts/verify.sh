@@ -25,6 +25,9 @@ cargo test -q --release --offline -p esp-serve --test serve_integration
 cargo test -q --release --offline -p esp-artifact --test roundtrip
 
 if [[ "$fast" -eq 0 ]]; then
+    echo "==> repository benchmark package (builds against the serve/obs items it calls)"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "==> bench smoke (quick pipeline bench, writes BENCH_pipeline.json)"
     cargo run --release --offline -q -p esp-bench --bin bench_pipeline -- --quick
     echo "==> BENCH_pipeline.json:"
@@ -93,7 +96,7 @@ is intentional, regenerate results/lint_golden.json with esp_lint --json" >&2; e
     for series in esp_serve_requests_total esp_serve_request_us \
                   esp_serve_predict_compute_us esp_serve_batch_size \
                   esp_serve_shards esp_serve_shard_0_queue_depth \
-                  esp_serve_shard_0_cache_hit_ratio esp_serve_shard_0_cache_entries \
+                  esp_serve_cache_entries \
                   esp_serve_model_version esp_serve_reloads_total \
                   esp_ledger_profile_records_total esp_ledger_observed_miss_rate \
                   esp_ledger_calibration_ece; do
@@ -184,12 +187,11 @@ PYEOF
         || { echo "reload smoke: esp_serve_reloads_total != 1" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
     grep -q '^esp_serve_shards 2$' reload_metrics.prom \
         || { echo "reload smoke: esp_serve_shards != 2" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
-    for shard in 0 1; do
-        for family in queue_depth cache_hit_ratio cache_entries; do
-            grep -q "^esp_serve_shard_${shard}_${family} " reload_metrics.prom \
-                || { echo "reload smoke: missing esp_serve_shard_${shard}_${family}" >&2; \
-                     kill "$reload_pid" 2>/dev/null; exit 1; }
-        done
+    for family in esp_serve_shard_0_queue_depth esp_serve_shard_1_queue_depth \
+                  esp_serve_cache_entries; do
+        grep -q "^${family} " reload_metrics.prom \
+            || { echo "reload smoke: missing ${family}" >&2; \
+                 kill "$reload_pid" 2>/dev/null; exit 1; }
     done
     ./target/release/esp-client info --addr "$tcp_addr" --model smoke@2 | grep -q '\[smoke@2\]' \
         || { echo "reload smoke: smoke@2 not served after reload" >&2; kill "$reload_pid" 2>/dev/null; exit 1; }
