@@ -2,12 +2,13 @@
 //! change a single byte of the evaluation output. This runs a miniature
 //! Table 4 (two C programs, two leave-one-out folds, tiny learner) with
 //! tracing off and again with tracing on, and compares the rendered tables
-//! bit for bit.
+//! bit for bit — and, below printed precision, the weights of one
+//! multi-threaded training run.
 
 use esp_core::{EspConfig, Learner};
 use esp_eval::{table4, SuiteData, Table4Config};
 use esp_lang::CompilerConfig;
-use esp_nnet::MlpConfig;
+use esp_nnet::{Mlp, MlpConfig, TrainExample};
 
 fn mini_cfg() -> Table4Config {
     Table4Config {
@@ -27,6 +28,29 @@ fn mini_cfg() -> Table4Config {
     }
 }
 
+/// Train a small network (two restarts, two threads) on a fixed synthetic
+/// set and return its weights' bit patterns.
+fn trained_weight_bits() -> Vec<u64> {
+    let data: Vec<TrainExample> = (0..300)
+        .map(|i| TrainExample {
+            x: (0..12)
+                .map(|j| ((i * 31 + j * 7) % 17) as f64 / 8.0 - 1.0)
+                .collect(),
+            target: ((i * 11) % 10) as f64 / 9.0,
+            weight: 1.0,
+        })
+        .collect();
+    let cfg = MlpConfig {
+        hidden: 6,
+        max_epochs: 30,
+        restarts: 2,
+        threads: 2,
+        ..MlpConfig::default()
+    };
+    let (m, _) = Mlp::train(&data, &cfg);
+    m.flat_weights().iter().map(|w| w.to_bits()).collect()
+}
+
 #[test]
 fn table4_is_byte_identical_with_tracing_on_and_off() {
     let suite = SuiteData::build_subset(&["sort", "grep"], &CompilerConfig::default());
@@ -34,9 +58,11 @@ fn table4_is_byte_identical_with_tracing_on_and_off() {
 
     assert!(!esp_obs::trace::enabled(), "tracing must start disabled");
     let untraced = table4(&suite, &cfg);
+    let untraced_weights = trained_weight_bits();
 
     esp_obs::trace::enable();
     let traced = table4(&suite, &cfg);
+    let traced_weights = trained_weight_bits();
     esp_obs::trace::disable();
     let events = esp_obs::trace::drain();
 
@@ -44,6 +70,10 @@ fn table4_is_byte_identical_with_tracing_on_and_off() {
         untraced.as_bytes(),
         traced.as_bytes(),
         "tracing changed the rendered table"
+    );
+    assert_eq!(
+        untraced_weights, traced_weights,
+        "tracing changed the trained weights"
     );
     assert!(
         !events.is_empty(),

@@ -290,7 +290,7 @@ impl Mlp {
     /// (the `panel` module); remainder rows fall through to the scalar kernel.
     /// Every lane preserves the scalar summation order, so the result is
     /// **bitwise identical** to per-row [`Mlp::predict`] — asserted by
-    /// `tests/batch_kernel.rs` and the `bench_pipeline` exit code.
+    /// `tests/batch_kernel.rs`.
     ///
     /// # Panics
     ///

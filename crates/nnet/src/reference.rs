@@ -4,16 +4,12 @@
 //! [`crate::Mlp`] replaced: `w[i][j]` rows as separate allocations, a
 //! forward pass that returns the hidden activations in a fresh `Vec` per
 //! example, and an epoch loop that runs a gradient pass *and* a separate
-//! `thresholded_error` sweep. It exists for two reasons:
-//!
-//! * **Equivalence oracle** — `tests/kernel_reference.rs` asserts the flat
-//!   kernels reproduce this implementation bit for bit (forwards,
-//!   gradients, and entire training runs), which is what lets the kernel
-//!   rewrite keep PR 1's thread-count determinism contract and the PR 2
-//!   artifact format without revalidating every downstream number.
-//! * **A/B baseline** — `bench_pipeline` trains once with each
-//!   implementation (both serial) and reports `kernel_speedup` /
-//!   `kernel_identical` in `BENCH_pipeline.json`.
+//! `thresholded_error` sweep. It exists as an **equivalence oracle**:
+//! `tests/kernel_reference.rs` asserts the flat kernels reproduce this
+//! implementation bit for bit (forwards, gradients, and entire training
+//! runs), which is what lets the kernel rewrite keep the thread-count
+//! determinism contract and the artifact format without revalidating
+//! every downstream number.
 //!
 //! It is intentionally serial (`threads` is ignored; the serial chunk sweep
 //! and strict `<` restart selection are exactly what the parallel paths are

@@ -6,42 +6,37 @@
 //! esp-client stats     --addr HOST:PORT
 //! esp-client shutdown  --addr HOST:PORT
 //! esp-client get       --addr HOST:PORT [--path /metrics]
-//! esp-client bench     [--addr HOST:PORT | --model PATH | --synthetic DIM,HIDDEN,SEED]
+//! esp-client bench     --addr HOST:PORT
 //!                      [--requests N] [--batch N] [--keys N] [--seed S]
 //!                      [--connections N] [--open-loop auto|R1,R2,…] [--no-open-loop]
-//!                      [--out PATH] [--quick] [--shards N] [--cache N]
-//!                      [--predict-chunk N] [--profile-rate P]
-//!                      [--trace-out FILE] [--metrics-out FILE]
+//!                      [--profile-rate P] [--trace-out FILE] [--metrics-out FILE]
 //! esp-client merge-traces --out FILE LABEL=PATH [LABEL=PATH ...]
 //! esp-client registry  (list | inspect --name M [--model-version V]
 //!                       | publish --name M (--from PATH | --synthetic DIM,HIDDEN,SEED)
 //!                       | gc --name M --keep K) --dir DIR
 //! ```
 //!
-//! `bench` without `--addr` spawns an in-process server on an ephemeral
-//! loopback port (from `--model`, or a synthetic artifact by default), runs
-//! the deterministic load generator against it, shuts it down, writes the
-//! report to `--out` (default `BENCH_serve.json`), and prints a one-line
-//! summary with the histogram's p50/p90/p99. The closed loop drives
-//! `--connections` concurrent clients (default 2); unless `--no-open-loop`
-//! is given, an open-loop arrival-rate sweep follows — `--open-loop auto`
-//! (the default) derives targets from the measured closed-loop throughput,
-//! a comma list pins them — and the latency-under-load curve lands in the
-//! JSON as `open_loop`. Unless `--predict-chunk`
-//! pins it, the in-process bench first sweeps the server's miss fan-out
-//! chunk over a few candidates (uncached, so every row computes) and runs
-//! the main measurement with the fastest; the chosen value and its origin
-//! land in the JSON as `predict_chunk` / `predict_chunk_source`. `--quick`
-//! shrinks the run for CI. `--shards` sets the in-process server's shard
-//! count (`--threads` is accepted as an alias). `--trace-out` records
-//! client-side spans into a Perfetto-loadable trace; `--metrics-out` saves
-//! the server's metrics text exposition (as carried by the final `STATS`
-//! reply).
+//! `bench` runs the deterministic load generator against the running
+//! `esp-serve` at `--addr` and prints a one-line summary with the
+//! histogram's p50/p90/p99. The closed loop drives `--connections`
+//! concurrent clients (default 2); unless `--no-open-loop` is given, an
+//! open-loop arrival-rate sweep follows — `--open-loop auto` (the default)
+//! derives targets from the measured closed-loop throughput, a comma list
+//! pins them — and prints one latency-under-load line per target. A
+//! zero-sized load (`--requests`, `--batch`, `--keys` or `--connections`
+//! of 0) is rejected. `--trace-out` records client-side spans into a
+//! Perfetto-loadable trace; `--metrics-out` saves the server's metrics text
+//! exposition (as carried by the final `STATS` reply). The repository's
+//! benchmark (`BENCHMARK.json`) is the measurement of record; this command
+//! is a smoke and a quick look at a live server.
 //!
 //! `bench --profile-rate P` closes the accuracy loop: that fraction of the
 //! predicted rows is replayed back as `PROFILE` outcomes drawn from a
-//! seeded per-key ground truth, and the report gains the server ledger's
-//! `observed_miss_rate` / `calibration_ece` plus `profile_updates_per_sec`.
+//! seeded per-key ground truth, and the summary gains the server ledger's
+//! observed miss rate and calibration error plus profile updates per
+//! second.
+//!
+//! Each subcommand rejects a flag it does not know with exit 2.
 //!
 //! `get` speaks plain HTTP/1.1 over a raw `TcpStream` against the server's
 //! `--http-addr` telemetry sidecar (no curl required); `merge-traces`
@@ -53,7 +48,7 @@ use std::path::Path;
 
 use esp_artifact::{ModelArtifact, Registry};
 use esp_serve::loadgen::{self, LoadGenConfig};
-use esp_serve::{serve, Client, ServeConfig};
+use esp_serve::Client;
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -74,6 +69,61 @@ fn fail(msg: String) -> ! {
     std::process::exit(1);
 }
 
+/// A subcommand's flags that take a value, and those that take none.
+type KnownFlags = (&'static [&'static str], &'static [&'static str]);
+
+fn known_flags(subcommand: &str) -> Option<KnownFlags> {
+    Some(match subcommand {
+        "info" => (&["--addr", "--model"], &[]),
+        "stats" | "shutdown" => (&["--addr"], &[]),
+        "get" => (&["--addr", "--path"], &[]),
+        "bench" => (
+            &[
+                "--addr",
+                "--requests",
+                "--batch",
+                "--keys",
+                "--seed",
+                "--connections",
+                "--open-loop",
+                "--profile-rate",
+                "--trace-out",
+                "--metrics-out",
+            ],
+            &["--no-open-loop"],
+        ),
+        "merge-traces" => (&["--out"], &[]),
+        "registry" => (
+            &[
+                "--dir",
+                "--name",
+                "--model-version",
+                "--from",
+                "--synthetic",
+                "--keep",
+            ],
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
+/// Exit 2 on any `--flag` the subcommand does not know, so a typo or a
+/// removed flag is never silently ignored.
+fn check_flags(args: &[String], (value_flags, bool_flags): KnownFlags) {
+    let mut i = 1;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if value_flags.contains(&a) {
+            i += 1; // skip the value
+        } else if a.starts_with("--") && !bool_flags.contains(&a) {
+            eprintln!("unknown flag `{a}` for `esp-client {}`", args[0]);
+            std::process::exit(2);
+        }
+        i += 1;
+    }
+}
+
 fn connect(args: &[String]) -> Client {
     let addr = flag_value(args, "--addr")
         .unwrap_or_else(|| fail("this subcommand needs --addr HOST:PORT".into()));
@@ -82,6 +132,9 @@ fn connect(args: &[String]) -> Client {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(known) = args.first().and_then(|cmd| known_flags(cmd)) {
+        check_flags(&args, known);
+    }
     match args.first().map(String::as_str) {
         Some("info") => {
             let selector = flag_value(&args, "--model").unwrap_or("");
@@ -121,12 +174,10 @@ fn main() {
             eprintln!(
                 "usage: esp-client (info [--model NAME[@V]]|stats|shutdown) --addr HOST:PORT\n\
                  \x20      esp-client get --addr HOST:PORT [--path /metrics]\n\
-                 \x20      esp-client bench [--addr HOST:PORT | --model PATH | --synthetic DIM,HIDDEN,SEED]\n\
+                 \x20      esp-client bench --addr HOST:PORT\n\
                  \x20                       [--requests N] [--batch N] [--keys N] [--seed S]\n\
                  \x20                       [--connections N] [--open-loop auto|R1,R2,…] [--no-open-loop]\n\
-                 \x20                       [--out PATH] [--quick] [--shards N] [--cache N]\n\
-                 \x20                       [--predict-chunk N] [--profile-rate P]\n\
-                 \x20                       [--trace-out FILE] [--metrics-out FILE]\n\
+                 \x20                       [--profile-rate P] [--trace-out FILE] [--metrics-out FILE]\n\
                  \x20      esp-client merge-traces --out FILE LABEL=PATH [LABEL=PATH ...]\n\
                  \x20      esp-client registry (list | inspect --name M [--model-version V]\n\
                  \x20                           | publish --name M (--from PATH | --synthetic DIM,HIDDEN,SEED)\n\
@@ -205,7 +256,10 @@ fn merge_traces(args: &[String]) {
 }
 
 fn bench(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
+    let addr = flag_value(args, "--addr").unwrap_or_else(|| {
+        eprintln!("bench needs --addr HOST:PORT of a running esp-serve");
+        std::process::exit(2);
+    });
     let trace_out = flag_value(args, "--trace-out").map(std::path::PathBuf::from);
     let metrics_out = flag_value(args, "--metrics-out").map(std::path::PathBuf::from);
     if trace_out.is_some() {
@@ -214,9 +268,7 @@ fn bench(args: &[String]) {
     let defaults = LoadGenConfig::default();
     let cfg = LoadGenConfig {
         requests: flag_value(args, "--requests")
-            .map_or(if quick { 100 } else { defaults.requests }, |v| {
-                parse(v, "--requests")
-            }),
+            .map_or(defaults.requests, |v| parse(v, "--requests")),
         batch: flag_value(args, "--batch").map_or(defaults.batch, |v| parse(v, "--batch")),
         keys: flag_value(args, "--keys").map_or(defaults.keys, |v| parse(v, "--keys")),
         seed: flag_value(args, "--seed").map_or(defaults.seed, |v| parse(v, "--seed")),
@@ -236,86 +288,17 @@ fn bench(args: &[String]) {
             }
         },
     };
-    if cfg.connections == 0 {
-        fail("--connections must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&cfg.profile_rate) {
-        fail(format!(
-            "--profile-rate must be in [0, 1], got {}",
-            cfg.profile_rate
-        ));
-    }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_serve.json");
 
-    // Either drive a remote server, or spawn one in-process for the run.
-    let chunk_flag = flag_value(args, "--predict-chunk").map(|v| parse(v, "--predict-chunk"));
-    let (addr, handle, dim, chunk, chunk_source) = match flag_value(args, "--addr") {
-        Some(addr) => {
-            let dim = Client::connect(addr)
-                .and_then(|mut c| c.info())
-                .unwrap_or_else(|e| fail(format!("cannot query {addr}: {e}")))
-                .dim as usize;
-            // A remote server's chunk is its own; report only what we know.
-            let (chunk, source) = match chunk_flag {
-                Some(c) => (c, "flag"),
-                None => (0, "default"),
-            };
-            (addr.to_string(), None, dim, chunk, source)
-        }
-        None => {
-            let artifact = match flag_value(args, "--model") {
-                Some(path) => ModelArtifact::load(Path::new(path))
-                    .unwrap_or_else(|e| fail(format!("cannot load {path}: {e}"))),
-                None => {
-                    let spec = flag_value(args, "--synthetic").unwrap_or("30,10,42");
-                    let parts: Vec<&str> = spec.split(',').collect();
-                    if parts.len() != 3 {
-                        fail(format!("--synthetic takes DIM,HIDDEN,SEED, got {spec:?}"));
-                    }
-                    ModelArtifact::synthetic(
-                        parse(parts[0], "--synthetic DIM"),
-                        parse(parts[1], "--synthetic HIDDEN"),
-                        parse(parts[2], "--synthetic SEED"),
-                    )
-                }
-            };
-            let mut scfg = ServeConfig {
-                shards: flag_value(args, "--shards")
-                    .or_else(|| flag_value(args, "--threads"))
-                    .map_or(0, |v| parse(v, "--shards")),
-                cache_capacity: flag_value(args, "--cache").map_or(4096, |v| parse(v, "--cache")),
-                ..ServeConfig::default()
-            };
-            let dim = artifact.dim();
-            let (chunk, source) = match chunk_flag {
-                Some(c) => (c, "flag"),
-                None => (sweep_chunk(&artifact, &scfg, dim, quick), "sweep"),
-            };
-            scfg.predict_chunk = chunk;
-            let handle = serve(&artifact, "127.0.0.1:0", &scfg)
-                .unwrap_or_else(|e| fail(format!("cannot start in-process server: {e}")));
-            eprintln!(
-                "spawned in-process server on {} (predict chunk {chunk}, {source})",
-                handle.addr()
-            );
-            (handle.addr().to_string(), Some(handle), dim, chunk, source)
-        }
-    };
-
+    let dim = Client::connect(addr)
+        .and_then(|mut c| c.info())
+        .unwrap_or_else(|e| fail(format!("cannot query {addr}: {e}")))
+        .dim as usize;
     eprintln!(
         "load: {} requests x {} rows over {} distinct keys, {} connection(s) (seed {})",
         cfg.requests, cfg.batch, cfg.keys, cfg.connections, cfg.seed
     );
-    let mut report =
-        loadgen::run(&addr, dim, &cfg).unwrap_or_else(|e| fail(format!("bench: {e}")));
-    report.predict_chunk = chunk;
-    report.predict_chunk_source = chunk_source.to_string();
-    if let Some(h) = handle {
-        h.shutdown();
-    }
+    let report = loadgen::run(addr, dim, &cfg).unwrap_or_else(|e| fail(format!("bench: {e}")));
 
-    loadgen::write_json(&report, Path::new(out))
-        .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
     if let Some(path) = &metrics_out {
         std::fs::write(path, &report.server.exposition)
             .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display())));
@@ -340,59 +323,6 @@ fn bench(args: &[String]) {
             report.observed_miss_rate, report.calibration_ece, report.profile_updates_per_sec
         );
     }
-    println!("wrote {out}");
-}
-
-/// One-time sweep of the server's miss fan-out chunk: spawn a short-lived
-/// uncached server per candidate (so every row actually computes and the
-/// fan-out path is what's measured) and keep the rows/sec winner. The
-/// request stream is the usual deterministic generator, so candidates see
-/// identical work.
-fn sweep_chunk(
-    artifact: &ModelArtifact,
-    scfg: &ServeConfig,
-    dim: usize,
-    quick: bool,
-) -> usize {
-    const CANDIDATES: [usize; 5] = [8, 16, 32, 64, 128];
-    let probe = LoadGenConfig {
-        requests: if quick { 20 } else { 80 },
-        batch: 64, // above the parallel fan-out threshold
-        keys: 4096,
-        seed: 0xC4A17,
-        profile_rate: 0.0,
-        connections: 1,   // the sweep measures the fan-out path, not concurrency
-        open_loop: None,
-    };
-    let mut best = (CANDIDATES[0], 0.0f64);
-    for &candidate in &CANDIDATES {
-        let cfg = ServeConfig {
-            cache_capacity: 0, // uncached: measure compute fan-out, not the LRU
-            predict_chunk: candidate,
-            ..scfg.clone()
-        };
-        let handle = match serve(artifact, "127.0.0.1:0", &cfg) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("sweep: cannot start probe server ({e}); keeping default chunk 32");
-                return 32;
-            }
-        };
-        let rows_per_sec = match loadgen::run(&handle.addr().to_string(), dim, &probe) {
-            Ok(r) => r.predictions_per_sec,
-            Err(e) => {
-                eprintln!("sweep: probe at chunk {candidate} failed ({e}); skipping");
-                0.0
-            }
-        };
-        handle.shutdown();
-        eprintln!("sweep: predict chunk {candidate:>3} -> {rows_per_sec:>10.0} rows/s");
-        if rows_per_sec > best.1 {
-            best = (candidate, rows_per_sec);
-        }
-    }
-    eprintln!("sweep: chose predict chunk {}", best.0);
-    best.0
 }
 
 fn registry(args: &[String]) {

@@ -13,11 +13,10 @@
 //! `--addr` defaults to `127.0.0.1:7871`; port `0` picks an ephemeral port
 //! (the bound address is printed either way). The event-loop thread
 //! answers cache hits itself and hands misses to `--shards N` compute
-//! workers (`0`, the default, runs one per core; `--threads` is accepted as
-//! an alias); `--cache` is the LRU capacity in entries (`0` disables);
-//! `--predict-chunk` is the most miss rows in one compute job (default
-//! 32). The process runs until a client sends `SHUTDOWN` (see
-//! `esp-client`).
+//! workers (`0`, the default, runs one per core), at most 32 miss rows per
+//! compute job; `--cache` is the LRU capacity in entries (`0` disables).
+//! The process runs until a client sends `SHUTDOWN` (see `esp-client`).
+//! An unknown flag is a usage error (exit 2).
 //!
 //! The registry form serves every listed name at once (clients pick with
 //! the protocol's model selector; the first name is the default). A bare
@@ -55,6 +54,38 @@ fn parse<T: std::str::FromStr>(value: &str, what: &str) -> T {
 fn fail(msg: String) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// Flags that take a value, and those that take none; any other `--flag`
+/// is a usage error, so a typo or a removed flag is never silently ignored.
+const VALUE_FLAGS: &[&str] = &[
+    "--model",
+    "--registry",
+    "--name",
+    "--model-version",
+    "--synthetic",
+    "--addr",
+    "--shards",
+    "--cache",
+    "--reload-watch",
+    "--precision",
+    "--http-addr",
+    "--trace-out",
+    "--metrics-out",
+];
+const BOOL_FLAGS: &[&str] = &["--no-ledger"];
+
+fn check_flags(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            i += 1; // skip the value
+        } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
+            fail(format!("unknown flag `{a}` (see esp-serve --help)"));
+        }
+        i += 1;
+    }
 }
 
 fn load_artifact(args: &[String]) -> AnyArtifact {
@@ -109,12 +140,13 @@ fn main() {
         eprintln!(
             "usage: esp-serve (--model PATH | --registry DIR --name M[@V][,M2[@V2]…] [--model-version V] | --synthetic DIM,HIDDEN,SEED)\n\
              \x20                [--addr HOST:PORT] [--shards N] [--cache N]\n\
-             \x20                [--reload-watch MS] [--precision f32|f64] [--predict-chunk N]\n\
+             \x20                [--reload-watch MS] [--precision f32|f64]\n\
              \x20                [--http-addr HOST:PORT] [--no-ledger]\n\
              \x20                [--trace-out FILE] [--metrics-out FILE]"
         );
         return;
     }
+    check_flags(&args);
     let trace_out = flag_value(&args, "--trace-out").map(std::path::PathBuf::from);
     let metrics_out = flag_value(&args, "--metrics-out").map(std::path::PathBuf::from);
     if trace_out.is_some() {
@@ -128,17 +160,14 @@ fn main() {
         })
     });
     let cfg = ServeConfig {
-        shards: flag_value(&args, "--shards")
-            .or_else(|| flag_value(&args, "--threads"))
-            .map_or(0, |v| parse(v, "--shards")),
+        shards: flag_value(&args, "--shards").map_or(0, |v| parse(v, "--shards")),
         cache_capacity: flag_value(&args, "--cache").map_or(4096, |v| parse(v, "--cache")),
-        predict_chunk: flag_value(&args, "--predict-chunk")
-            .map_or(32, |v| parse(v, "--predict-chunk")),
         precision,
         http_addr: flag_value(&args, "--http-addr").map(String::from),
         ledger: !args.iter().any(|a| a == "--no-ledger"),
         reload_watch_ms: flag_value(&args, "--reload-watch")
             .map(|v| parse(v, "--reload-watch")),
+        ..ServeConfig::default()
     };
 
     let mut handle = if let Some(dir) = flag_value(&args, "--registry") {

@@ -28,8 +28,8 @@
 //! - [`client`] — the blocking client library used by the `esp-client`
 //!   binary and the integration tests.
 //! - [`loadgen`] — a deterministic load generator (closed-loop over many
-//!   connections, plus an open-loop arrival-rate sweep) that writes
-//!   `BENCH_serve.json`.
+//!   connections, plus an open-loop arrival-rate sweep) behind
+//!   `esp-client bench`.
 //! - [`http`] — a std-only HTTP/1.1 telemetry sidecar (`--http-addr`)
 //!   serving `GET /metrics`, `/healthz` and `/sitez?top=K`, sharing the
 //!   exact exposition bytes the `STATS` opcode carries.

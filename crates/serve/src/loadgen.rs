@@ -1,6 +1,6 @@
 //! Deterministic load generator: drives a server with a seeded stream of
-//! predict batches drawn from a fixed key pool, measures exact client-side
-//! latency quantiles, and writes `BENCH_serve.json`.
+//! predict batches drawn from a fixed key pool and measures exact
+//! client-side latency quantiles (`esp-client bench` prints the summary).
 //!
 //! The *request content* is a pure function of the seed (PCG32 all the way
 //! down): every work item — which pool rows a batch carries and which
@@ -9,8 +9,7 @@
 //! race to claim them. With one connection the server also processes them
 //! in order, making the reported cache hit rate exactly reproducible; with
 //! several, only the claim order (and thus hit/miss attribution at the
-//! margin) varies. Timings, of course, vary with the machine — that is
-//! what the file is for.
+//! margin) varies. Timings, of course, vary with the machine.
 //!
 //! Two load shapes run back to back:
 //!
@@ -31,7 +30,6 @@
 //! the server ledger's `observed_miss_rate` and `calibration_ece`, read
 //! back out of the final `STATS` exposition.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -43,12 +41,13 @@ use crate::protocol::{PredictRow, ProfileRecord, ServeError, StatsSnapshot};
 /// Load-generator knobs. Defaults produce a few seconds of traffic.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
-    /// Predict requests (batches) to send in the closed-loop phase.
+    /// Predict requests (batches) to send in the closed-loop phase
+    /// (at least 1).
     pub requests: usize,
-    /// Rows per request.
+    /// Rows per request (at least 1).
     pub batch: usize,
-    /// Distinct feature vectors in the pool; smaller pools mean higher
-    /// cache hit rates.
+    /// Distinct feature vectors in the pool (at least 1); smaller pools
+    /// mean higher cache hit rates.
     pub keys: usize,
     /// RNG seed for the pool and the request sequence.
     pub seed: u64,
@@ -56,7 +55,7 @@ pub struct LoadGenConfig {
     /// (`0.0` disables the accuracy loop entirely — no profile frames are
     /// sent).
     pub profile_rate: f64,
-    /// Concurrent client connections (clamped to at least 1). Each keeps
+    /// Concurrent client connections (at least 1). Each keeps
     /// one request in flight during the closed loop and owns an arrival
     /// stripe during the open loop.
     pub connections: usize,
@@ -132,13 +131,6 @@ pub struct LoadGenReport {
     /// The open-loop latency-under-load curve, one point per swept rate
     /// (empty when the phase is skipped).
     pub open_loop: Vec<OpenLoopPoint>,
-    /// The server's miss fan-out chunk (rows per worker chunk) used for
-    /// this run; `0` when driving a remote server whose setting is unknown.
-    /// Filled in by the caller ([`run`] cannot see the server's config).
-    pub predict_chunk: usize,
-    /// Where `predict_chunk` came from: `"flag"` (`--predict-chunk`),
-    /// `"sweep"` (chosen by the bench's one-time sweep), or `"default"`.
-    pub predict_chunk_source: String,
     /// The server ledger's observed-weighted miss rate at the end of the
     /// run (`NaN` when no outcomes were profiled back).
     pub observed_miss_rate: f64,
@@ -161,7 +153,7 @@ impl LoadGenReport {
              latency p50 {} us, p90 {} us, p99 {} us (histogram) | cache hit rate {:.1}%",
             self.cfg.requests,
             self.cfg.batch,
-            self.cfg.connections.max(1),
+            self.cfg.connections,
             self.elapsed_ms,
             self.throughput_rps,
             self.predictions_per_sec,
@@ -175,15 +167,6 @@ impl LoadGenReport {
 
 fn exact_quantile_ms(sorted_us: &[u64], q: f64) -> f64 {
     esp_obs::exact_quantile(sorted_us, q) as f64 / 1e3
-}
-
-/// JSON has no NaN/Infinity: non-finite values render as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Build the deterministic key pool: `keys` synthetic rows of width `dim`.
@@ -354,15 +337,26 @@ fn open_loop_point(
 /// Run the generator against a server: the closed loop, then (when
 /// configured) the open-loop sweep. The pre-run server stats are
 /// subtracted out, so the reported cache hit rate covers exactly the
-/// closed-loop phase.
+/// closed-loop phase. A zero-sized load (no requests, rows, keys or
+/// connections) or a profile rate outside `[0, 1]` is rejected before any
+/// connection opens.
 pub fn run(addr: &str, dim: usize, cfg: &LoadGenConfig) -> Result<LoadGenReport, ServeError> {
+    for (name, value) in [
+        ("requests", cfg.requests),
+        ("batch", cfg.batch),
+        ("keys", cfg.keys),
+        ("connections", cfg.connections),
+    ] {
+        if value == 0 {
+            return Err(ServeError::Protocol(format!("{name} must be at least 1")));
+        }
+    }
     if !(0.0..=1.0).contains(&cfg.profile_rate) {
         return Err(ServeError::Protocol(format!(
             "profile rate must be in [0, 1], got {}",
             cfg.profile_rate
         )));
     }
-    let connections = cfg.connections.max(1);
     let pool = key_pool(dim, cfg);
     let site_keys: Vec<Vec<u8>> = pool
         .iter()
@@ -374,7 +368,7 @@ pub fn run(addr: &str, dim: usize, cfg: &LoadGenConfig) -> Result<LoadGenReport,
     let mut control = Client::connect(addr)?;
     let before = control.stats()?;
     let hist = esp_obs::Log2Histogram::new();
-    let (latencies_us, elapsed_s) = closed_loop(addr, &pool, &items, connections, &hist)?;
+    let (latencies_us, elapsed_s) = closed_loop(addr, &pool, &items, cfg.connections, &hist)?;
     let after_closed = control.stats()?;
     let hits = after_closed.cache_hits - before.cache_hits;
     let misses = after_closed.cache_misses - before.cache_misses;
@@ -392,7 +386,7 @@ pub fn run(addr: &str, dim: usize, cfg: &LoadGenConfig) -> Result<LoadGenReport,
         for rate in targets {
             if rate.is_finite() && rate > 0.0 {
                 open.push(open_loop_point(
-                    addr, &pool, &items, connections, rate, per_point,
+                    addr, &pool, &items, cfg.connections, rate, per_point,
                 )?);
             }
         }
@@ -420,8 +414,6 @@ pub fn run(addr: &str, dim: usize, cfg: &LoadGenConfig) -> Result<LoadGenReport,
         reloads_total: gauge_value(&after.exposition, "esp_serve_reloads_total")
             .unwrap_or(0.0) as u64,
         open_loop: open,
-        predict_chunk: 0,
-        predict_chunk_source: "default".to_string(),
         observed_miss_rate: if profile_updates > 0 {
             gauge_value(&after.exposition, "esp_ledger_observed_miss_rate")
                 .unwrap_or(f64::NAN)
@@ -447,90 +439,6 @@ pub fn gauge_value(exposition: &str, family: &str) -> Option<f64> {
             .and_then(|rest| rest.strip_prefix(' '))
             .and_then(|v| v.trim().parse().ok())
     })
-}
-
-/// Render the report as the `BENCH_serve.json` document.
-pub fn render_json(r: &LoadGenReport) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"requests\": {},\n", r.cfg.requests));
-    s.push_str(&format!("  \"batch\": {},\n", r.cfg.batch));
-    s.push_str(&format!("  \"keys\": {},\n", r.cfg.keys));
-    s.push_str(&format!("  \"seed\": {},\n", r.cfg.seed));
-    s.push_str(&format!("  \"profile_rate\": {},\n", r.cfg.profile_rate));
-    s.push_str(&format!(
-        "  \"connections\": {},\n",
-        r.cfg.connections.max(1)
-    ));
-    s.push_str(&format!("  \"shards\": {},\n", r.shards));
-    s.push_str(&format!("  \"reloads_total\": {},\n", r.reloads_total));
-    s.push_str(&format!("  \"predictions\": {},\n", r.predictions));
-    s.push_str(&format!("  \"elapsed_ms\": {:.3},\n", r.elapsed_ms));
-    s.push_str(&format!("  \"throughput_rps\": {:.3},\n", r.throughput_rps));
-    s.push_str(&format!(
-        "  \"predictions_per_sec\": {:.3},\n",
-        r.predictions_per_sec
-    ));
-    s.push_str(&format!("  \"p50_ms\": {:.3},\n", r.p50_ms));
-    s.push_str(&format!("  \"p99_ms\": {:.3},\n", r.p99_ms));
-    s.push_str(&format!("  \"max_ms\": {:.3},\n", r.max_ms));
-    s.push_str(&format!("  \"hist_p50_us\": {},\n", r.hist_p50_us));
-    s.push_str(&format!("  \"hist_p90_us\": {},\n", r.hist_p90_us));
-    s.push_str(&format!("  \"hist_p99_us\": {},\n", r.hist_p99_us));
-    s.push_str(&format!("  \"cache_hit_rate\": {:.4},\n", r.cache_hit_rate));
-    s.push_str("  \"open_loop\": [\n");
-    for (i, p) in r.open_loop.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rps_target\": {:.3}, \"achieved_rps\": {:.3}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            p.rps_target,
-            p.achieved_rps,
-            p.p50_ms,
-            p.p99_ms,
-            if i + 1 == r.open_loop.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"predict_chunk\": {},\n", r.predict_chunk));
-    s.push_str(&format!(
-        "  \"predict_chunk_source\": \"{}\",\n",
-        r.predict_chunk_source
-    ));
-    s.push_str(&format!(
-        "  \"observed_miss_rate\": {},\n",
-        json_f64(r.observed_miss_rate)
-    ));
-    s.push_str(&format!(
-        "  \"calibration_ece\": {},\n",
-        json_f64(r.calibration_ece)
-    ));
-    s.push_str(&format!(
-        "  \"profile_updates_per_sec\": {:.3},\n",
-        r.profile_updates_per_sec
-    ));
-    s.push_str("  \"server\": {\n");
-    s.push_str(&format!(
-        "    \"connections\": {},\n",
-        r.server.connections
-    ));
-    s.push_str(&format!("    \"requests\": {},\n", r.server.requests));
-    s.push_str(&format!(
-        "    \"predictions\": {},\n",
-        r.server.predictions
-    ));
-    s.push_str(&format!("    \"cache_hits\": {},\n", r.server.cache_hits));
-    s.push_str(&format!(
-        "    \"cache_misses\": {},\n",
-        r.server.cache_misses
-    ));
-    s.push_str(&format!("    \"p50_us\": {},\n", r.server.p50_us));
-    s.push_str(&format!("    \"p99_us\": {}\n", r.server.p99_us));
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Write the report to `path` as JSON.
-pub fn write_json(r: &LoadGenReport, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, render_json(r))
 }
 
 #[cfg(test)]
@@ -567,8 +475,6 @@ mod tests {
                     p99_ms: 240.0,
                 },
             ],
-            predict_chunk: 32,
-            predict_chunk_source: "sweep".to_string(),
             observed_miss_rate: 0.25,
             calibration_ece: 0.03,
             profile_updates_per_sec: 1234.5,
@@ -635,71 +541,38 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_required_keys() {
-        let r = report();
-        let json = render_json(&r);
-        for key in [
-            "\"requests\"",
-            "\"throughput_rps\"",
-            "\"predictions_per_sec\"",
-            "\"p50_ms\"",
-            "\"p99_ms\"",
-            "\"hist_p90_us\"",
-            "\"cache_hit_rate\"",
-            "\"connections\"",
-            "\"shards\"",
-            "\"reloads_total\"",
-            "\"open_loop\"",
-            "\"rps_target\"",
-            "\"achieved_rps\"",
-            "\"predict_chunk\"",
-            "\"predict_chunk_source\"",
-            "\"profile_rate\"",
-            "\"observed_miss_rate\"",
-            "\"calibration_ece\"",
-            "\"profile_updates_per_sec\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.contains("\"observed_miss_rate\": 0.250000"));
-        assert!(json.contains("\"shards\": 2"));
-        // the two curve points render comma-separated inside the array
-        assert!(json.contains("{\"rps_target\": 200.000"));
-        assert!(json.contains("{\"rps_target\": 500.000"));
-        let line = r.summary_line();
+    fn summary_line_reports_the_histogram_quantiles() {
+        let line = report().summary_line();
         assert!(line.contains("p90 4095 us"));
         assert!(line.contains("500 requests"));
         assert!(line.contains("1 conn(s)"));
+        assert!(line.contains("cache hit rate 82.0%"));
     }
 
     #[test]
-    fn unprofiled_runs_render_null_accuracy() {
-        let r = LoadGenReport {
-            predictions: 0,
-            elapsed_ms: 0.0,
-            throughput_rps: 0.0,
-            predictions_per_sec: 0.0,
-            p50_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            hist_p50_us: 0,
-            hist_p90_us: 0,
-            hist_p99_us: 0,
-            cache_hit_rate: 0.0,
-            open_loop: Vec::new(),
-            predict_chunk: 0,
-            predict_chunk_source: "default".to_string(),
-            observed_miss_rate: f64::NAN,
-            calibration_ece: f64::NAN,
-            profile_updates_per_sec: 0.0,
-            ..report()
-        };
-        let json = render_json(&r);
-        assert!(json.contains("\"observed_miss_rate\": null"));
-        assert!(json.contains("\"calibration_ece\": null"));
-        assert!(json.contains("\"profile_updates_per_sec\": 0.000"));
-        // an empty sweep still renders the (empty) array
-        assert!(json.contains("\"open_loop\": [\n  ],"));
+    fn zero_sized_loads_are_rejected_before_connecting() {
+        let base = LoadGenConfig::default();
+        for (what, cfg) in [
+            (
+                "requests",
+                LoadGenConfig {
+                    requests: 0,
+                    open_loop: Some(vec![100.0]),
+                    ..base.clone()
+                },
+            ),
+            ("batch", LoadGenConfig { batch: 0, ..base.clone() }),
+            ("keys", LoadGenConfig { keys: 0, ..base.clone() }),
+            ("connections", LoadGenConfig { connections: 0, ..base.clone() }),
+            ("profile rate", LoadGenConfig { profile_rate: 1.5, ..base.clone() }),
+        ] {
+            // Nothing listens on the discard port: a config that got past
+            // validation would fail with an I/O error instead.
+            match run("127.0.0.1:9", 4, &cfg) {
+                Err(ServeError::Protocol(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected a typed rejection, got {other:?}"),
+            }
+        }
     }
 
     #[test]

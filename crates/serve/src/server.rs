@@ -78,8 +78,8 @@ pub struct ServeConfig {
     /// disables caching.
     pub cache_capacity: usize,
     /// Most cache-miss rows in one compute job, i.e. one batched-kernel
-    /// call on a worker (`--predict-chunk`); clamped to at least 1. Results
-    /// are bitwise identical at any chunk size.
+    /// call on a worker (default 32); clamped to at least 1. Results are
+    /// bitwise identical at any chunk size.
     pub predict_chunk: usize,
     /// Serving precision; `None` = the artifact's native precision. An f64
     /// artifact can be quantized down to f32 at load; an f32 artifact

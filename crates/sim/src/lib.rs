@@ -20,8 +20,8 @@
 //!
 //! Everything is std-only, `forbid(unsafe_code)`, and deterministic: no
 //! clocks, no RNG (TAGE allocation is first-fit), so two replays of the
-//! same trace are bitwise identical — `bench_pipeline` gates on exactly
-//! that.
+//! same trace are bitwise identical (`replay_arena_is_deterministic`
+//! pins exactly that).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,8 @@
 //! The parallel runtime's core guarantee, end to end: any thread count
-//! produces *bitwise identical* results. Cross-validation folds, training
-//! restarts and gradient chunks all reduce in a fixed order, so `threads`
-//! is purely a wall-clock knob — never a results knob.
+//! produces *bitwise identical* results. Corpus profiling runs one
+//! independent interpreter per program, and cross-validation folds,
+//! training restarts and gradient chunks all reduce in a fixed order, so
+//! `threads` is purely a wall-clock knob — never a results knob.
 
 use esp_repro::esp::{cross_validate, EspConfig, FeatureSet, Learner, TrainingProgram};
 use esp_repro::eval::{miss_rate, Prediction, SuiteData};
@@ -72,6 +73,46 @@ fn cross_validation_is_bitwise_identical_across_thread_counts() {
             ra.to_bits(),
             rb.to_bits(),
             "fold {fold}: miss rate diverges across thread counts"
+        );
+    }
+}
+
+#[test]
+fn corpus_profiles_are_identical_across_thread_counts() {
+    let names = ["sort", "grep", "sed", "gzip"];
+    let programs: Vec<_> = esp_repro::corpus::suite()
+        .into_iter()
+        .filter(|b| names.contains(&b.name))
+        .map(|b| {
+            b.compile(&CompilerConfig::default())
+                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", b.name))
+        })
+        .collect();
+    assert_eq!(programs.len(), names.len());
+
+    let profile_all = |threads: usize| {
+        esp_runtime::parallel_map(threads, &programs, |prog| {
+            esp_repro::corpus::profile(prog).expect("corpus program runs")
+        })
+    };
+    let serial = profile_all(1);
+    let parallel = profile_all(3);
+    for (prog, (a, b)) in programs.iter().zip(serial.iter().zip(&parallel)) {
+        assert!(
+            a.dyn_cond_branches > 0,
+            "{}: no branches executed",
+            prog.name
+        );
+        assert_eq!(a.dyn_insns, b.dyn_insns, "{}: dyn_insns diverge", prog.name);
+        assert_eq!(
+            a.dyn_cond_branches, b.dyn_cond_branches,
+            "{}: dyn_cond_branches diverge",
+            prog.name
+        );
+        assert!(
+            a.iter().eq(b.iter()),
+            "{}: branch counts diverge",
+            prog.name
         );
     }
 }
